@@ -57,10 +57,10 @@ func TestUnknownCommand(t *testing.T) {
 }
 
 // TestRunSingleCell drives the CLI end to end over the smallest slice:
-// one profile, one shard count, one queue, one seed.
+// one profile, one shard count, one seed.
 func TestRunSingleCell(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"run", "-shards", "2", "-queues", "chan", "-seeds", "7", "paper"}, &out, &errb)
+	code := run([]string{"run", "-shards", "2", "-seeds", "7", "paper"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errb.String())
 	}

@@ -159,8 +159,8 @@ func TestDeltaAfterMergeAndAbsorb(t *testing.T) {
 	}
 	c.MarkCheckpointedFull()
 
-	// A colliding shard (same key universe) forces the Merge record path;
-	// a disjoint shard takes Absorb's chunk adoption.
+	// Absorb merges both a colliding shard (same key universe) and a
+	// disjoint one record by record; each must leave its records dirty.
 	shard := New()
 	feedGolden(shard, addrs, times, servers, 1000, 3500)
 	c.Absorb(shard)

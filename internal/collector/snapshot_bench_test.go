@@ -169,13 +169,12 @@ func BenchmarkRestore(b *testing.B) {
 	})
 }
 
-// BenchmarkAbsorb compares the chunk-adopting merge against the
-// deep-copying record merge across the shapes ApplyShard sees.
-// shape=disjoint partitions the stream by IID value, so donor and
-// destination share no address or IID and Absorb adopts whole chunks;
-// shape=colliding partitions by address hash, where cross-/64 EUI-64
-// IIDs collide and Absorb pays its disjointness probe before falling
-// back to record merging — the honest overhead number.
+// BenchmarkAbsorb times the merges ApplyShard runs. path=merge is the
+// record merge Absorb runs into a non-empty destination: shape=disjoint
+// partitions the stream by IID value, so donor and destination share no
+// address or IID; shape=colliding partitions by address hash, where
+// cross-/64 EUI-64 IIDs collide. path=steal is Absorb into an empty
+// destination, which takes the donor's state wholesale.
 func BenchmarkAbsorb(b *testing.B) {
 	events, _ := collectorBenchStream()
 	builders := map[string]func(part uint64) *Collector{
@@ -200,15 +199,6 @@ func BenchmarkAbsorb(b *testing.B) {
 	}
 	for _, shape := range []string{"disjoint", "colliding"} {
 		build := builders[shape]
-		b.Run("shape="+shape+"/path=absorb", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dst, donor := build(0), build(1)
-				b.StartTimer()
-				dst.Absorb(donor)
-			}
-		})
 		b.Run("shape="+shape+"/path=merge", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -219,4 +209,13 @@ func BenchmarkAbsorb(b *testing.B) {
 			}
 		})
 	}
+	b.Run("path=steal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dst, donor := New(), builders["disjoint"](0)
+			b.StartTimer()
+			dst.Absorb(donor)
+		}
+	})
 }

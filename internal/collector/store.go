@@ -29,10 +29,9 @@ func NewStore() *Store {
 // ApplyShard folds one shard snapshot into the merged view. The store
 // takes ownership: the snapshot must not be used again by its shard
 // afterwards (shards swap in a fresh Collector before handing one
-// over), which lets the merge adopt whole slab chunks from the donor
-// instead of re-inserting record by record (see Collector.Absorb) —
-// shards partition the address space by hash, so cross-shard snapshots
-// never collide and almost every ApplyShard takes the chunk path.
+// over), which lets the first snapshot into the empty store move over
+// wholesale instead of being re-inserted record by record (see
+// Collector.Absorb).
 func (s *Store) ApplyShard(part *Collector) {
 	if part == nil {
 		return

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,15 +12,11 @@ import (
 )
 
 // TestCheckpointRestoreEquivalence is the durable-path extension of the
-// 1/4/16-shard equivalence suite (run with -race): ingest half a stream,
-// checkpoint mid-ingest, restore the checkpoint into a fresh pipeline,
-// finish the stream there — and the final corpus must be byte-identical
-// (canonical Checksum) to an uninterrupted serial run of the whole
-// stream. Both queue kinds take this path: the chan legs feed with
-// concurrent producers, the spsc legs with the single producer that
-// queue admits — plus PinCPUs, so the restore path is also proven under
-// the wire-speed worker setup (on kernels that refuse affinity it
-// degrades to a counted no-op, which must not disturb equivalence).
+// 1/4/16-shard equivalence suite (run with -race): ingest half a stream
+// from concurrent producers, checkpoint mid-ingest, restore the
+// checkpoint into a fresh pipeline, finish the stream there — and the
+// final corpus must be byte-identical (canonical Checksum) to an
+// uninterrupted serial run of the whole stream.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	events := testEvents(t, 0.03, 12)
 	serial := collector.New()
@@ -30,82 +25,51 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	}
 	want := serial.Checksum()
 
-	feed := func(p *Pipeline, part []Event, producers int) {
-		var wg sync.WaitGroup
-		chunk := (len(part) + producers - 1) / producers
-		for pi := 0; pi < producers; pi++ {
-			lo := pi * chunk
-			hi := min(lo+chunk, len(part))
-			if lo >= hi {
-				continue
+	// The shard queues are channels; the subtest names the queue kind the
+	// restore path is proven on.
+	t.Run("queue=chan", func(t *testing.T) {
+		const producers = 3
+		for _, shards := range []int{1, 4, 16} {
+			mkcfg := func() Config {
+				cfg := DefaultConfig(shards)
+				cfg.BatchSize = 32
+				return cfg
 			}
-			wg.Add(1)
-			go func(sub []Event) {
-				defer wg.Done()
-				b := p.NewBatcher()
-				for _, ev := range sub {
-					b.Add(ev)
-				}
-				b.Flush()
-			}(part[lo:hi])
+			first, err := New(mkcfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedConcurrently(first, events[:len(events)/2], producers)
+
+			var ckpt bytes.Buffer
+			bw := bufio.NewWriter(&ckpt)
+			if err := first.Checkpoint(bw); err != nil {
+				t.Fatalf("shards=%d: checkpoint: %v", shards, err)
+			}
+			first.Close() // the interrupted process
+
+			restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
+			if err != nil {
+				t.Fatalf("shards=%d: restore: %v", shards, err)
+			}
+			cfg2 := mkcfg()
+			cfg2.Seed = restored
+			second, err := New(cfg2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedConcurrently(second, events[len(events)/2:], producers)
+			merged := second.Close()
+
+			if got := merged.Checksum(); got != want {
+				t.Errorf("shards=%d: checkpoint/restore corpus differs from serial run", shards)
+			}
+			if merged.TotalObservations() != uint64(len(events)) {
+				t.Errorf("shards=%d: %d observations, want %d", shards,
+					merged.TotalObservations(), len(events))
+			}
 		}
-		wg.Wait()
-	}
-
-	cases := []struct {
-		queue     string
-		producers int
-		pin       bool
-	}{
-		{queue: "chan", producers: 3},
-		{queue: "spsc", producers: 1, pin: true}, // spsc admits at most one producer
-	}
-	for _, tc := range cases {
-		t.Run("queue="+tc.queue, func(t *testing.T) {
-			for _, shards := range []int{1, 4, 16} {
-				mkcfg := func() Config {
-					cfg := DefaultConfig(shards)
-					cfg.BatchSize = 32
-					cfg.ShardQueue = tc.queue
-					cfg.PinCPUs = tc.pin
-					return cfg
-				}
-				first, err := New(mkcfg())
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed(first, events[:len(events)/2], tc.producers)
-
-				var ckpt bytes.Buffer
-				bw := bufio.NewWriter(&ckpt)
-				if err := first.Checkpoint(bw); err != nil {
-					t.Fatalf("shards=%d: checkpoint: %v", shards, err)
-				}
-				first.Close() // the interrupted process
-
-				restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
-				if err != nil {
-					t.Fatalf("shards=%d: restore: %v", shards, err)
-				}
-				cfg2 := mkcfg()
-				cfg2.Seed = restored
-				second, err := New(cfg2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed(second, events[len(events)/2:], tc.producers)
-				merged := second.Close()
-
-				if got := merged.Checksum(); got != want {
-					t.Errorf("shards=%d: checkpoint/restore corpus differs from serial run", shards)
-				}
-				if merged.TotalObservations() != uint64(len(events)) {
-					t.Errorf("shards=%d: %d observations, want %d", shards,
-						merged.TotalObservations(), len(events))
-				}
-			}
-		})
-	}
+	})
 }
 
 // TestCheckpointCoversFlushed: Quiesce-backed checkpoints must contain

@@ -397,7 +397,7 @@ func (s *DaySliceStage) Process(ev Event) {
 }
 
 // Merge implements Stage. Stage merges own their operand (the contract
-// leaves other unused afterwards), so the collector's chunk-adopting
+// leaves other unused afterwards), so the collector's ownership-taking
 // Absorb applies rather than the deep-copying Merge.
 func (s *DaySliceStage) Merge(other Stage) {
 	s.Col.Absorb(other.(*DaySliceStage).Col)

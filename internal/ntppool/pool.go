@@ -7,6 +7,7 @@ package ntppool
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"hitlist6/internal/collector"
@@ -89,6 +90,14 @@ func New(vantages []Vantage) (*Pool, error) {
 		p.byContinent[v.Continent] = append(p.byContinent[v.Continent], i)
 	}
 	return p, nil
+}
+
+// Clone returns a pool with the same servers and round-robin position,
+// whose later selections advance independently of p's.
+func (p *Pool) Clone() *Pool {
+	q := *p
+	q.rrState = maps.Clone(p.rrState)
+	return &q
 }
 
 // Vantages returns the pool's servers.

@@ -81,6 +81,27 @@ func TestSelectRoundRobinRotates(t *testing.T) {
 	}
 }
 
+// TestCloneIsIndependent: a clone resumes the round robin where the
+// original stood, and selections on either leave the other untouched.
+func TestCloneIsIndependent(t *testing.T) {
+	p, err := New(StudyVantages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Select("US")
+	q := p.Clone()
+	for i := 0; i < 5; i++ {
+		if a, b := q.Select("US"), p.Select("US"); a != b {
+			t.Fatalf("selection %d: clone picked %d, original %d", i, a.ID, b.ID)
+		}
+	}
+	r := p.Clone()
+	q.Select("US")
+	if a, b := r.Select("US"), p.Select("US"); a != b {
+		t.Fatalf("selecting on one clone moved another: %d vs %d", a.ID, b.ID)
+	}
+}
+
 func TestVendorZones(t *testing.T) {
 	if VendorZone(simnet.KindPhone) != "android.pool.ntp.org" {
 		t.Error("phones should use the android vendor zone")

@@ -5,9 +5,12 @@
 // access point) exposes a wireless BSSID whose 24-bit suffix sits at a
 // fixed vendor-specific offset from the device's wired MAC, which is the
 // structural leak the Rye–Beverly geolocation technique (§5.3) exploits.
+//
+//lint:deterministic
 package wigle
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 
@@ -112,6 +115,7 @@ var countryCentroids = map[string]Location{
 func NearestCountry(l Location) string {
 	best, bestD := "??", 0.0
 	first := true
+	//lint:ordered arg-min with a country-code tie-break; every order picks the same country
 	for cc, c := range countryCentroids {
 		d := (l.Lat-c.Lat)*(l.Lat-c.Lat) + (l.Lon-c.Lon)*(l.Lon-c.Lon)
 		if first || d < bestD || (d == bestD && cc < best) {
@@ -169,7 +173,14 @@ func Build(w *simnet.World, cfg BuildConfig) *DB {
 	}
 
 	// Noise: wardriven APs whose wired twin never queried our servers.
+	// The OUIs are visited in sorted order so each draws the same slice
+	// of the seeded RNG stream on every build.
+	ouis := make([]addr.OUI, 0, len(coveredOUIs))
 	for o := range coveredOUIs {
+		ouis = append(ouis, o)
+	}
+	sort.Slice(ouis, func(i, j int) bool { return bytes.Compare(ouis[i][:], ouis[j][:]) < 0 })
+	for _, o := range ouis {
 		for i := 0; i < cfg.Noise; i++ {
 			var m addr.MAC
 			m[0], m[1], m[2] = o[0], o[1], o[2]

@@ -1,6 +1,7 @@
 package wigle
 
 import (
+	"reflect"
 	"testing"
 
 	"hitlist6/internal/addr"
@@ -125,5 +126,30 @@ func TestBuildCoverage(t *testing.T) {
 	again := Build(w, BuildConfig{Coverage: 1.0, IoTAPShare: 0, Noise: 10, Seed: 1})
 	if again.Len() != noisy.Len() {
 		t.Error("build not deterministic")
+	}
+}
+
+// TestBuildDeterministic pins Build as a pure function of (world,
+// config): every build from one world and seed must hold the identical
+// BSSIDs, locations and per-OUI insertion order. The noise BSSIDs draw
+// from the seeded RNG once per covered OUI, so visiting the OUIs in map
+// order would hand each one a different slice of the random stream on
+// every build.
+func TestBuildDeterministic(t *testing.T) {
+	cfg := simnet.DefaultConfig(5, 0.05)
+	cfg.Days = 5
+	w, err := simnet.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Build(w, DefaultBuildConfig(5))
+	if first.Len() == 0 {
+		t.Fatal("empty database")
+	}
+	for i := 1; i < 6; i++ {
+		db := Build(w, DefaultBuildConfig(5))
+		if !reflect.DeepEqual(db.locs, first.locs) || !reflect.DeepEqual(db.byOUI, first.byOUI) {
+			t.Fatalf("build %d differs from the first build of the same world and seed", i)
+		}
 	}
 }

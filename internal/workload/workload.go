@@ -29,7 +29,7 @@
 //     slots and shard-hash residues — worst-case probe runs and
 //     maximal shard skew.
 //   - backpressure: arrival far above drain rate at tiny queue depths,
-//     exercising both ShardQueue kinds and both admission policies.
+//     exercising both admission policies.
 package workload
 
 import (

@@ -439,7 +439,10 @@ func (a poolAdapter) Select(country string) int { return a.p.Select(country).ID 
 
 // Backscan runs the §4.2 backscanning campaign over the final
 // BackscanDays of the window and returns its statistics together with
-// Figure 3's entropy distributions.
+// Figure 3's entropy distributions. The campaign selects vantages from a
+// copy of the pool, leaving the round-robin state where CollectPassive
+// left it, so repeated calls (and repeated Reports) return identical
+// campaigns.
 func (s *Study) Backscan() (*scan.BackscanStats, error) {
 	days := s.Config.BackscanDays
 	if days <= 0 {
@@ -450,7 +453,7 @@ func (s *Study) Backscan() (*scan.BackscanStats, error) {
 		start = s.World.Origin
 	}
 	cfg := scan.DefaultBackscanConfig(start, s.World.End, s.Config.Seed+0xb5)
-	return scan.Backscan(s.World, poolAdapter{s.Pool}, cfg), nil
+	return scan.Backscan(s.World, poolAdapter{s.Pool.Clone()}, cfg), nil
 }
 
 // Figure3 derives the hit/miss/random entropy distributions from a
