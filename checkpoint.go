@@ -81,16 +81,9 @@ type studyCheckpoint struct {
 	day    *collector.Collector
 }
 
-// snapshotter is the corpus side of the checkpoint writer: both
-// *collector.Store (the live mid-run view, snapshotting under its read
-// lock) and *collector.Collector (a detached corpus) satisfy it.
-type snapshotter interface {
-	Snapshot(w io.Writer) error
-}
-
 // writeStudyCheckpoint serializes one checkpoint to w. The caller owns
 // buffering and atomicity (see ingest.AtomicWriteFile).
-func writeStudyCheckpoint(w io.Writer, meta ckptMeta, series *outage.Series, corpus snapshotter, day *collector.Collector) error {
+func writeStudyCheckpoint(w io.Writer, meta ckptMeta, series *outage.Series, corpus, day *collector.Collector) error {
 	sw, err := snapfmt.NewWriter(w, ckptMagic, ckptVersion)
 	if err != nil {
 		return err
@@ -227,8 +220,12 @@ func (s *Study) writeCheckpoint(pipe *ingest.Pipeline, bin time.Duration, events
 		return fmt.Errorf("hitlist6: checkpoint: pipeline stages missing")
 	}
 	series := out.Series()
-	_, err := ingest.AtomicWriteFile(s.Config.CheckpointPath, func(w io.Writer) error {
-		return writeStudyCheckpoint(w, metaFor(s.Config, bin, events), series, pipe.Store(), day.Col)
+	_, err := ingest.AtomicWriteFile(s.Config.CheckpointPath, func(w io.Writer) (err error) {
+		// The live corpus is written under the store's read lock.
+		pipe.Store().View(func(corpus *collector.Collector) {
+			err = writeStudyCheckpoint(w, metaFor(s.Config, bin, events), series, corpus, day.Col)
+		})
+		return err
 	})
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -148,7 +149,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	d := newTestDaemon(t, t.TempDir())
 	defer d.pipe.Close()
 	feed(t, d)
-	if _, err := d.pipe.CheckpointFile(d.snapPath); err != nil {
+	if _, err := d.pipe.CheckpointChain(d.snapPath); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(d.newMux())
@@ -223,12 +224,38 @@ func TestSnapshotEndpointMethods(t *testing.T) {
 	}
 }
 
+// TestSnapshotFailureCounted: a POST /snapshot that cannot write
+// answers 500 and counts in checkpoint_errors, like a failed tick.
+func TestSnapshotFailureCounted(t *testing.T) {
+	d := newTestDaemon(t, filepath.Join(t.TempDir(), "missing"))
+	defer d.pipe.Close()
+	feed(t, d)
+	srv := httptest.NewServer(d.newMux())
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/snapshot", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("POST /snapshot into a missing dir: status %d, want 500", resp.StatusCode)
+	}
+	if m := d.pipe.Metrics(); m.CheckpointErrors != 1 {
+		t.Errorf("checkpoint_errors = %d, want 1", m.CheckpointErrors)
+	}
+}
+
 // TestGracefulShutdown drives the full drain: the readiness gate flips,
 // the (fake) source is stopped and awaited, the final checkpoint lands
-// on disk restorable, and the HTTP listener refuses new connections.
+// on disk as a delta on an earlier base and restores to the live corpus,
+// and the HTTP listener refuses new connections.
 func TestGracefulShutdown(t *testing.T) {
 	d := newTestDaemon(t, t.TempDir())
 	feed(t, d)
+	if _, err := d.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
 	d.health.SetReady()
 
 	// A stand-in source: stopSource signals it, and it closes sourceDone
@@ -265,13 +292,16 @@ func TestGracefulShutdown(t *testing.T) {
 	default:
 		t.Error("shutdown returned before the source stopped")
 	}
-	// The final checkpoint contains everything, including the event the
-	// source flushed during the drain.
-	c, err := ingest.RestoreFile(d.snapPath)
+	// The final checkpoint is a delta, and the chain contains
+	// everything, including the event the source flushed during the drain.
+	if m := d.pipe.Metrics(); m.Checkpoints != 2 || m.DeltaCheckpoints != 1 {
+		t.Fatalf("want a base and a final delta, got %+v", m)
+	}
+	c, err := ingest.RestoreChainFiles(d.snapPath)
 	if err != nil {
 		t.Fatalf("final checkpoint unreadable: %v", err)
 	}
-	if c == nil || c.NumAddrs() != 3 {
+	if c == nil || c.NumAddrs() != 3 || c.Checksum() != d.pipe.Store().Checksum() {
 		t.Fatalf("final checkpoint incomplete: %+v", c)
 	}
 	// Listener closed: fresh connections must fail.

@@ -33,6 +33,14 @@
 //	/debug/events   bounded ring of recent operational events (JSON)
 //	/debug/pprof/   CPU, heap, goroutine and trace profiles
 //
+// With -snapshot.dir the corpus is durable. Every checkpoint — each
+// -snapshot.every tick, each POST /snapshot and the one at shutdown —
+// extends one delta chain: corpus.snap is a full base, and
+// corpus.snap.delta.NNNNNN carry the record blocks dirtied since; every
+// 16 deltas the chain folds into a fresh base. On start the daemon
+// restores base plus chain, or starts empty with a warning when the
+// chain is unusable. -snapshot.delta is accepted and ignored.
+//
 // Logs are structured (slog): -log.format selects text or json,
 // -log.level the threshold. Every log record is also captured in the
 // /debug/events ring. SIGINT/SIGTERM shut down gracefully: sources
@@ -87,7 +95,6 @@ type daemon struct {
 	udp       *udpSource // nil: not ingesting from a socket
 	outWindow int
 	snapPath  string // "": durable snapshots disabled
-	deltaMode bool   // -snapshot.delta: checkpoints run the chain protocol
 
 	// Tiered corpus (-corpus.rambudget; see tier.go). tierMu serializes
 	// every access to tier, including swapping it for a fresh file after a
@@ -185,20 +192,14 @@ func (d *daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// checkpointNow writes one durable checkpoint through whichever
-// protocol the daemon runs — the delta chain under -snapshot.delta,
-// otherwise a plain full snapshot — and, when the tiered corpus is
+// checkpointNow writes one durable checkpoint on the delta chain — a
+// full base or a delta of the blocks dirtied since the last one (see
+// ingest.Pipeline.CheckpointChain) — and, when the tiered corpus is
 // enabled, refreshes the tier file to match. A tier refresh failure is
 // logged but does not fail the checkpoint: the durable corpus is the
 // artifact that matters; the tier is a rebuildable query index.
 func (d *daemon) checkpointNow() (int64, error) {
-	var size int64
-	var err error
-	if d.deltaMode {
-		size, err = d.pipe.CheckpointChain(d.snapPath)
-	} else {
-		size, err = d.pipe.CheckpointFile(d.snapPath)
-	}
+	size, err := d.pipe.CheckpointChain(d.snapPath)
 	if err != nil {
 		return 0, err
 	}
@@ -251,32 +252,33 @@ func (d *daemon) shutdown(srv *http.Server) {
 
 func main() {
 	var (
-		listen      = flag.String("listen", ":8629", "HTTP listen address")
-		file        = flag.String("file", "", "event file to replay ('-' for stdin)")
-		udp         = flag.String("udp", "", "UDP listen address for event datagrams")
-		sim         = flag.Bool("sim", false, "generate a simnet replay stream instead of external input")
-		simScale    = flag.Float64("sim.scale", 0.1, "simnet population scale")
-		simDays     = flag.Int("sim.days", 30, "simnet study window in days")
-		simSeed     = flag.Int64("sim.seed", 1, "simnet world seed")
-		shards      = flag.Int("shards", 0, "collector shards (0 = one per CPU, capped at 8)")
-		batch       = flag.Int("batch", 0, "events per batch (0 = default)")
-		queue       = flag.Int("queue", 0, "per-shard queue depth in batches (0 = default)")
-		drop        = flag.Bool("drop", false, "shed events when a shard queue is full instead of blocking")
-		snapshot    = flag.Duration("snapshot", 2*time.Second, "live-view snapshot interval")
-		hllPrec     = flag.Uint("hll", 14, "HyperLogLog precision (4-16)")
-		serverCp    = flag.Int("servers", collector.MaxServers, "vantage-server attribution cap")
-		outBin      = flag.Duration("outage.bin", time.Hour, "outage series bin width (whole seconds; 0 disables the outage consumer)")
-		outEvery    = flag.Duration("outage.every", 30*time.Second, "how often the live outage detector rescans the series")
-		outWindow   = flag.Int("outage.window", 0, "rolling detection window in complete bins (0 = whole series)")
-		snapDir     = flag.String("snapshot.dir", "", "directory for durable corpus snapshots (restore on start, checkpoint while running)")
-		snapEvery   = flag.Duration("snapshot.every", 0, "how often to checkpoint the corpus into -snapshot.dir (0 = only on /snapshot)")
-		snapDelta   = flag.Bool("snapshot.delta", false, "checkpoint via the delta chain: full base plus per-checkpoint deltas of dirtied blocks")
-		snapCompact = flag.Int("snapshot.compact", 0, "fold the delta chain into a fresh full base every N deltas (0 = default)")
-		ramBudget   = flag.Int64("corpus.rambudget", 0, "tiered-corpus RAM budget in bytes for /probe chunk residency (0 disables tiering)")
-		logLevel    = flag.String("log.level", "info", "log threshold: debug, info, warn or error")
-		logFormat   = flag.String("log.format", "text", "log encoding: text or json")
-		eventsCap   = flag.Int("debug.events", telemetry.DefaultEventRingSize, "recent-events ring capacity for /debug/events")
+		listen    = flag.String("listen", ":8629", "HTTP listen address")
+		file      = flag.String("file", "", "event file to replay ('-' for stdin)")
+		udp       = flag.String("udp", "", "UDP listen address for event datagrams")
+		sim       = flag.Bool("sim", false, "generate a simnet replay stream instead of external input")
+		simScale  = flag.Float64("sim.scale", 0.1, "simnet population scale")
+		simDays   = flag.Int("sim.days", 30, "simnet study window in days")
+		simSeed   = flag.Int64("sim.seed", 1, "simnet world seed")
+		shards    = flag.Int("shards", 0, "collector shards (0 = one per CPU, capped at 8)")
+		batch     = flag.Int("batch", 0, "events per batch (0 = default)")
+		queue     = flag.Int("queue", 0, "per-shard queue depth in batches (0 = default)")
+		drop      = flag.Bool("drop", false, "shed events when a shard queue is full instead of blocking")
+		snapshot  = flag.Duration("snapshot", 2*time.Second, "live-view snapshot interval")
+		hllPrec   = flag.Uint("hll", 14, "HyperLogLog precision (4-16)")
+		serverCp  = flag.Int("servers", collector.MaxServers, "vantage-server attribution cap")
+		outBin    = flag.Duration("outage.bin", time.Hour, "outage series bin width (whole seconds; 0 disables the outage consumer)")
+		outEvery  = flag.Duration("outage.every", 30*time.Second, "how often the live outage detector rescans the series")
+		outWindow = flag.Int("outage.window", 0, "rolling detection window in complete bins (0 = whole series)")
+		snapDir   = flag.String("snapshot.dir", "", "directory for durable corpus snapshots (restore on start, checkpoint while running)")
+		snapEvery = flag.Duration("snapshot.every", 0, "how often to checkpoint the corpus into -snapshot.dir (0 = only on /snapshot)")
+		ramBudget = flag.Int64("corpus.rambudget", 0, "tiered-corpus RAM budget in bytes for /probe chunk residency (0 disables tiering)")
+		logLevel  = flag.String("log.level", "info", "log threshold: debug, info, warn or error")
+		logFormat = flag.String("log.format", "text", "log encoding: text or json")
+		eventsCap = flag.Int("debug.events", telemetry.DefaultEventRingSize, "recent-events ring capacity for /debug/events")
 	)
+	// Accepted so existing command lines keep working; checkpoints always
+	// run the delta chain.
+	flag.Bool("snapshot.delta", false, "ignored: checkpoints always run the delta chain")
 	flag.Parse()
 
 	ring := telemetry.NewEventRing(*eventsCap)
@@ -317,14 +319,6 @@ func main() {
 	}
 	if *snapEvery > 0 && *snapDir == "" {
 		fmt.Fprintln(os.Stderr, "ingestd: -snapshot.every needs -snapshot.dir")
-		os.Exit(2)
-	}
-	if (*snapDelta || *snapCompact != 0) && *snapDir == "" {
-		fmt.Fprintln(os.Stderr, "ingestd: -snapshot.delta needs -snapshot.dir")
-		os.Exit(2)
-	}
-	if *snapCompact < 0 {
-		fmt.Fprintf(os.Stderr, "ingestd: -snapshot.compact %d must be non-negative\n", *snapCompact)
 		os.Exit(2)
 	}
 	if *ramBudget < 0 {
@@ -380,7 +374,7 @@ func main() {
 			"Wall time restoring the corpus checkpoint at startup.",
 			telemetry.DurationBuckets())
 		start := time.Now()
-		cfg.Seed = restoreOrEmpty(snapPath, *snapDelta, func(format string, args ...any) {
+		cfg.Seed = restoreOrEmpty(snapPath, func(format string, args ...any) {
 			msg := fmt.Sprintf(format, args...)
 			if strings.Contains(msg, "WARNING") {
 				logger.Warn(msg)
@@ -391,8 +385,6 @@ func main() {
 		restoreSeconds.ObserveDuration(time.Since(start))
 		cfg.CheckpointPath = snapPath
 		cfg.CheckpointInterval = *snapEvery
-		cfg.DeltaCheckpoints = *snapDelta
-		cfg.CompactEvery = *snapCompact
 	}
 	if routes != nil {
 		cfg.Stages = append(cfg.Stages, ingest.OutageSeriesLive(routes, *outBin))
@@ -406,7 +398,6 @@ func main() {
 	d := &daemon{
 		pipe: pipe, reg: reg, health: health, ring: ring, log: logger,
 		routes: routes, outWindow: *outWindow, snapPath: snapPath,
-		deltaMode: *snapDelta,
 	}
 	if *ramBudget > 0 {
 		d.ramBudget = *ramBudget
@@ -513,21 +504,14 @@ func tierPath(dir string) string {
 	return filepath.Join(dir, "corpus.tier")
 }
 
-// restoreOrEmpty loads the corpus checkpoint for daemon startup — the
-// delta chain when -snapshot.delta, the plain file otherwise. A
-// daemon must come up even when its checkpoint is damaged — losing the
+// restoreOrEmpty loads the corpus checkpoint chain for daemon startup.
+// A daemon must come up even when its checkpoint is damaged — losing the
 // corpus and re-accumulating beats refusing to collect — so missing
 // files start empty silently and unreadable/corrupt files start empty
 // with a logged warning. (Batch/study runs make the opposite choice:
 // see hitlist6.Config.CheckpointPath.)
-func restoreOrEmpty(path string, delta bool, logf func(format string, args ...any)) *collector.Collector {
-	var c *collector.Collector
-	var err error
-	if delta {
-		c, err = ingest.RestoreChainFiles(path)
-	} else {
-		c, err = ingest.RestoreFile(path)
-	}
+func restoreOrEmpty(path string, logf func(format string, args ...any)) *collector.Collector {
+	c, err := ingest.RestoreChainFiles(path)
 	if err != nil {
 		logf("ingestd: WARNING: checkpoint %s unusable, starting with an empty corpus: %v", path, err)
 		return nil

@@ -12,9 +12,9 @@ import (
 )
 
 // TestRestoreOrEmpty pins the daemon's crash-recovery behaviour: a good
-// checkpoint restores, a missing one starts empty silently, and a
-// damaged one starts empty with a logged warning — never an abort, and
-// never a partial corpus.
+// chain (base plus delta) restores to the live corpus, a missing one
+// starts empty silently, and a damaged base starts empty with a logged
+// warning — never an abort, and never a partial corpus.
 func TestRestoreOrEmpty(t *testing.T) {
 	dir := t.TempDir()
 	path := snapshotPath(dir)
@@ -28,37 +28,43 @@ func TestRestoreOrEmpty(t *testing.T) {
 
 	// Missing: empty start, no warning.
 	logf, lines := logged()
-	if c := restoreOrEmpty(path, false, logf); c != nil {
+	if c := restoreOrEmpty(path, logf); c != nil {
 		t.Fatalf("missing checkpoint restored something: %v", c)
 	}
 	if len(*lines) != 0 {
 		t.Fatalf("missing checkpoint warned: %v", *lines)
 	}
 
-	// Write a real checkpoint through the pipeline.
+	// Write a real chain through the pipeline: a base of 100 events,
+	// then a delta of 50 more.
 	pipe, err := ingest.New(ingest.DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := pipe.NewBatcher()
 	var bad atomic.Uint64
-	for i := 0; i < 100; i++ {
-		ingestLine(b, []byte(fmt.Sprintf("164367%04d 2001:db8::%x %d", i, i+1, i%27)), &bad)
+	for _, span := range [][2]int{{0, 100}, {100, 150}} {
+		b := pipe.NewBatcher()
+		for i := span[0]; i < span[1]; i++ {
+			ingestLine(b, []byte(fmt.Sprintf("164367%04d 2001:db8::%x %d", i, i+1, i%27)), &bad)
+		}
+		b.Flush()
+		if _, err := pipe.CheckpointChain(path); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.Flush()
-	if _, err := pipe.CheckpointFile(path); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(path + ".delta.000001"); err != nil {
+		t.Fatalf("second checkpoint wrote no delta: %v", err)
 	}
-	pipe.Close()
+	live := pipe.Close().Checksum()
 
-	// Good: restores with an informational line.
+	// Good: restores base plus delta with an informational line.
 	logf, lines = logged()
-	c := restoreOrEmpty(path, false, logf)
+	c := restoreOrEmpty(path, logf)
 	if c == nil {
 		t.Fatal("good checkpoint did not restore")
 	}
-	if c.NumAddrs() != 100 || c.TotalObservations() != 100 {
-		t.Fatalf("restored %d addrs / %d obs, want 100/100", c.NumAddrs(), c.TotalObservations())
+	if c.NumAddrs() != 150 || c.TotalObservations() != 150 || c.Checksum() != live {
+		t.Fatalf("restored %d addrs / %d obs, want the live 150/150", c.NumAddrs(), c.TotalObservations())
 	}
 	if len(*lines) != 1 || !strings.Contains((*lines)[0], "restored") {
 		t.Fatalf("restore logging off: %v", *lines)
@@ -89,7 +95,7 @@ func TestRestoreOrEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 		logf, lines = logged()
-		if c := restoreOrEmpty(path, false, logf); c != nil {
+		if c := restoreOrEmpty(path, logf); c != nil {
 			t.Errorf("%s: damaged checkpoint restored (%d addrs)", name, c.NumAddrs())
 		}
 		if len(*lines) != 1 || !strings.Contains((*lines)[0], "WARNING") {

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -157,12 +158,21 @@ func writeDeltaSection(sw *snapfmt.Writer, id uint32, blocks []deltaBlock, entry
 	return err
 }
 
+// ErrDeltaBase is the linkage failure of an intact delta — every
+// section's framing and CRC check out — whose sequence extends c's chain
+// position but whose base counts are not c's: it was cut against
+// another corpus, typically the chain that c, a newer full snapshot,
+// superseded. ApplyDelta returns it without mutating c, so c stays
+// usable.
+var ErrDeltaBase = errors.New("collector: delta cut against a different base")
+
 // ApplyDelta overlays one delta onto c, which must be exactly the chain
 // state the delta was cut against (seq, counts and total all match — a
 // collector freshly restored by OpenSnapshot, or one that already
 // applied the preceding deltas). On success c advances to the delta's
-// sequence. On error c may be partially mutated and MUST be discarded;
-// RestoreChain wraps this contract for callers restoring from files.
+// sequence. On any error but ErrDeltaBase c may be partially mutated
+// and MUST be discarded; RestoreChain wraps this contract for callers
+// restoring from files.
 func (c *Collector) ApplyDelta(r io.Reader) error {
 	sr, err := snapfmt.NewReader(r, deltaMagic)
 	if err != nil {
@@ -201,8 +211,11 @@ func (c *Collector) ApplyDelta(r io.Reader) error {
 	}
 	if baseTotal != c.total || baseAddrN != uint64(c.addrRecs.n) ||
 		baseIIDN != uint64(c.iidRecs.n) || baseSpanN != uint64(c.spans.n) {
-		return fmt.Errorf("collector: delta base (%d obs, %d/%d/%d records) does not match corpus (%d obs, %d/%d/%d)",
-			baseTotal, baseAddrN, baseIIDN, baseSpanN, c.total, c.addrRecs.n, c.iidRecs.n, c.spans.n)
+		if err := skipRest(sr); err != nil {
+			return fmt.Errorf("collector: delta: %w", err)
+		}
+		return fmt.Errorf("%w (%d obs, %d/%d/%d records; corpus has %d obs, %d/%d/%d)",
+			ErrDeltaBase, baseTotal, baseAddrN, baseIIDN, baseSpanN, c.total, c.addrRecs.n, c.iidRecs.n, c.spans.n)
 	}
 	if addrN > uint64(maxSlabIndex) || iidN > uint64(maxSlabIndex) || spanN > uint64(maxSlabIndex) {
 		return fmt.Errorf("collector: delta counts %d/%d/%d exceed slab addressing", addrN, iidN, spanN)
@@ -451,6 +464,24 @@ func (c *Collector) indexDeltaRecords(baseAddrN, baseIIDN uint32) error {
 		}
 	}
 	return nil
+}
+
+// skipRest reads the rest of a stream, checking its framing and every
+// section's CRC without decoding the payloads.
+func skipRest(sr *snapfmt.Reader) error {
+	for {
+		if _, _, err := sr.Next(); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		if _, err := io.Copy(io.Discard, sr); err != nil {
+			return err
+		}
+		if err := sr.End(); err != nil {
+			return err
+		}
+	}
 }
 
 // RestoreChain restores a checkpoint chain: a full snapshot stream

@@ -94,17 +94,6 @@ func (s *Store) Checksum() [32]byte {
 	return s.c.Checksum()
 }
 
-// Snapshot writes the merged corpus's durable encoding (see
-// Collector.Snapshot) under the read lock: writers are held off for the
-// duration, readers proceed. This is the daemon checkpoint path — pair
-// it with OpenSnapshot and ApplyShard (or ingest.Config.Seed) to
-// restore on the next start.
-func (s *Store) Snapshot(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.c.Snapshot(w)
-}
-
 // CheckpointFull writes a full snapshot and advances the delta-chain
 // watermark to sequence 0, atomically with respect to ApplyShard: the
 // write lock is held across both, so no observation can land between

@@ -25,11 +25,7 @@ func TestCheckpointChain(t *testing.T) {
 	events := testEvents(t, 0.03, 12)
 	path := filepath.Join(t.TempDir(), "corpus.snap")
 
-	cfg := DefaultConfig(4)
-	cfg.CheckpointPath = path
-	cfg.DeltaCheckpoints = true
-	cfg.CompactEvery = 3
-	p, err := New(cfg)
+	p, err := New(DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +44,7 @@ func TestCheckpointChain(t *testing.T) {
 	// asserted in TestCheckpointChainDeltaSize on a corpus large enough
 	// for block granularity to matter; this corpus is a handful of dirty
 	// blocks total.)
-	step := len(events) / 20
+	step := len(events) / 40
 	half := len(events) / 2
 	for i := 0; i < 2; i++ {
 		feedSlice(t, p, events[half+i*step:half+(i+1)*step])
@@ -76,17 +72,22 @@ func TestCheckpointChain(t *testing.T) {
 		t.Fatal("chain restore diverges from the live corpus")
 	}
 
-	// The third delta reaches CompactEvery: the next checkpoint folds the
-	// chain into a fresh full base and removes the delta files.
-	feedSlice(t, p, events[half+2*step:half+3*step])
+	// Delta compactEvery fills the chain: the next checkpoint folds it
+	// into a fresh full base and removes the delta files.
+	for i := 2; i < compactEvery; i++ {
+		feedSlice(t, p, events[half+i*step:half+(i+1)*step])
+		if _, err := p.CheckpointChain(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := p.Metrics(); m.ChainSeq != compactEvery || len(chainDeltaFiles(path)) != compactEvery {
+		t.Fatalf("chain not full before compaction: %+v", m)
+	}
+	feedSlice(t, p, events[half+compactEvery*step:half+(compactEvery+1)*step])
 	if _, err := p.CheckpointChain(path); err != nil {
 		t.Fatal(err)
 	}
-	feedSlice(t, p, events[half+3*step:half+4*step])
-	if _, err := p.CheckpointChain(path); err != nil {
-		t.Fatal(err)
-	}
-	if m := p.Metrics(); m.ChainSeq != 0 {
+	if m := p.Metrics(); m.ChainSeq != 0 || m.DeltaCheckpoints != compactEvery {
 		t.Fatalf("compaction did not reset the chain: %+v", m)
 	}
 	if ds := chainDeltaFiles(path); len(ds) != 0 {
@@ -101,8 +102,8 @@ func TestCheckpointChain(t *testing.T) {
 	}
 
 	// Rebuild a two-delta chain to break in various ways.
-	for i := 0; i < 2; i++ {
-		feedSlice(t, p, events[half+(4+i)*step:half+(5+i)*step])
+	for i := compactEvery + 1; i < compactEvery+3; i++ {
+		feedSlice(t, p, events[half+i*step:half+(i+1)*step])
 		if _, err := p.CheckpointChain(path); err != nil {
 			t.Fatal(err)
 		}
@@ -149,9 +150,151 @@ func TestCheckpointChain(t *testing.T) {
 	if _, err := RestoreChainFiles(path); err == nil {
 		t.Fatal("restore accepted orphaned deltas")
 	}
-	removeChainDeltas(path)
+	if err := removeChainDeltas(path); err != nil {
+		t.Fatal(err)
+	}
 	if c, err := RestoreChainFiles(path); err != nil || c != nil {
 		t.Fatalf("clean slate: got (%v, %v), want (nil, nil)", c, err)
+	}
+}
+
+// TestCheckpointChainSupersededDeltas is the crash window of a full
+// checkpoint: the new base is renamed into place, and the process dies
+// (or a remove fails) before the previous chain's deltas are deleted.
+// Restore must land on the new base — the newest acknowledged state —
+// not reject the directory and leave a daemon to start empty and
+// overwrite its corpus. A damaged leftover is still an error.
+func TestCheckpointChainSupersededDeltas(t *testing.T) {
+	events := testEvents(t, 0.03, 12)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "corpus.snap")
+	quarter := len(events) / 4
+
+	// Chain 1: base plus two deltas.
+	p, err := New(DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		feedSlice(t, p, events[i*quarter/3:(i+1)*quarter/3])
+		if _, err := p.CheckpointChain(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Close()
+	saved := map[string][]byte{}
+	for _, f := range chainDeltaFiles(path) {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[f] = raw
+	}
+	if len(saved) != 2 {
+		t.Fatalf("chain 1 has %d deltas, want 2", len(saved))
+	}
+
+	// Restart on chain 1 and grow: the restored seed carries no chain
+	// position, so the first checkpoint is a full base superseding it.
+	seed, err := RestoreChainFiles(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(2)
+	cfg.Seed = seed
+	p, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	feedSlice(t, p, events[quarter:2*quarter])
+	if _, err := p.CheckpointChain(path); err != nil {
+		t.Fatal(err)
+	}
+	if m := p.Metrics(); m.DeltaCheckpoints != 0 || len(chainDeltaFiles(path)) != 0 {
+		t.Fatalf("restart's first checkpoint was not a full base: %+v", m)
+	}
+	live := p.Store().Checksum()
+
+	// The crash: chain 1's deltas are back beside the new base — all of
+	// them, or the prefix a crash mid-removal leaves.
+	put := func(seqs ...uint64) {
+		t.Helper()
+		if err := removeChainDeltas(path); err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range seqs {
+			if err := os.WriteFile(deltaPath(path, seq), saved[deltaPath(path, seq)], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, seqs := range [][]uint64{{1, 2}, {1}} {
+		put(seqs...)
+		got, err := RestoreChainFiles(path)
+		if err != nil {
+			t.Fatalf("leftover deltas %v: restore failed: %v", seqs, err)
+		}
+		if got.Checksum() != live {
+			t.Fatalf("leftover deltas %v: restore is not the new base", seqs)
+		}
+	}
+
+	// A damaged or out-of-sequence leftover is not silently skipped.
+	put(2)
+	if _, err := RestoreChainFiles(path); err == nil {
+		t.Fatal("restore accepted a chain starting at delta 2")
+	}
+	put(1, 2)
+	bad := append([]byte(nil), saved[deltaPath(path, 1)]...)
+	bad[len(bad)/2] ^= 0x40
+	if err := os.WriteFile(deltaPath(path, 1), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreChainFiles(path); err == nil {
+		t.Fatal("restore accepted a corrupted leftover delta")
+	}
+
+	// A full checkpoint that cannot remove the old chain fails, and the
+	// next checkpoint is full again so the removal is retried: a delta 1
+	// written in front of an old delta 2 would not restore. A non-empty
+	// directory in delta 2's place makes its removal fail.
+	put(1)
+	blocker := deltaPath(path, 2)
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := New(DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	feedSlice(t, p2, events[:quarter])
+	if _, err := p2.CheckpointChain(path); err == nil {
+		t.Fatal("full checkpoint ignored a failed delta removal")
+	}
+	if m := p2.Metrics(); m.CheckpointErrors != 1 || m.Checkpoints != 0 {
+		t.Fatalf("failed removal not counted: %+v", m)
+	}
+	if _, err := os.Stat(deltaPath(path, 1)); err != nil {
+		t.Fatalf("removal past a failure: delta 1 gone (%v), leaving a gap", err)
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	feedSlice(t, p2, events[quarter:quarter+10])
+	if _, err := p2.CheckpointChain(path); err != nil {
+		t.Fatal(err)
+	}
+	if m := p2.Metrics(); m.DeltaCheckpoints != 0 || len(chainDeltaFiles(path)) != 0 {
+		t.Fatalf("retry was not a full checkpoint removing the old chain: %+v", m)
+	}
+	got, err := RestoreChainFiles(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Checksum() != p2.Store().Checksum() {
+		t.Fatal("restore after the retried removal diverges from the live corpus")
 	}
 }
 
@@ -173,10 +316,7 @@ func TestCheckpointChainDeltaSize(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "corpus.snap")
-	cfg := DefaultConfig(1)
-	cfg.CheckpointPath = path
-	cfg.DeltaCheckpoints = true
-	p, err := New(cfg)
+	p, err := New(DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}

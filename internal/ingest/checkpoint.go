@@ -2,33 +2,32 @@ package ingest
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
 	"hitlist6/internal/collector"
 )
 
-// Checkpointing is the pipeline's durability seam: Checkpoint writes
-// the merged corpus's snapshot (see collector.Snapshot) after a full
+// Checkpointing is the pipeline's durability seam, and it has one
+// protocol: CheckpointChain writes the merged corpus after a full
 // Quiesce, so the artifact provably contains every event flushed before
-// the call; CheckpointFile adds the crash-safe file protocol (write to
-// a temp file in the same directory, fsync, rename) so a torn write
-// can never shadow the previous good checkpoint; RestoreFile is the
-// other half, feeding Config.Seed on the next start.
+// the call — a full snapshot anchoring a chain, then deltas of the
+// record blocks dirtied since — each file through AtomicWriteFile, so a
+// torn write can never shadow the previous good checkpoint.
+// RestoreChainFiles is the other half, feeding Config.Seed on the next
+// start. A chain with no deltas is a plain full snapshot.
 
-// Checkpoint quiesces the pipeline and writes the merged corpus
-// snapshot to w. Must not race with Close.
-func (p *Pipeline) Checkpoint(w *bufio.Writer) error {
-	p.Quiesce()
-	if err := p.store.Snapshot(w); err != nil {
-		return err
-	}
-	return w.Flush()
-}
+// compactEvery bounds the delta chain: once this many deltas sit on the
+// base, the next checkpoint is a full one, folding the chain into a
+// fresh base and deleting the delta files.
+const compactEvery = 16
 
 // AtomicWriteFile writes a file via the crash-safe protocol every
 // durable artifact in this codebase shares: a temp file in the target's
@@ -68,28 +67,6 @@ func AtomicWriteFile(path string, write func(w io.Writer) error) (int64, error) 
 	return size, nil
 }
 
-// CheckpointFile checkpoints to path atomically (see AtomicWriteFile)
-// and returns the snapshot's size in bytes. Successful checkpoints
-// feed the duration and bytes histograms — the distributions an
-// operator watches to size the checkpoint cadence against the write
-// stall it buys.
-func (p *Pipeline) CheckpointFile(path string) (int64, error) {
-	start := time.Now()
-	size, err := AtomicWriteFile(path, func(w io.Writer) error {
-		p.Quiesce()
-		return p.store.Snapshot(w)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("ingest: checkpoint %s: %w", path, err)
-	}
-	p.metrics.checkpoints.Add(1)
-	p.metrics.lastCheckpointUnix.Set(time.Now().Unix())
-	p.metrics.lastCheckpointBytes.Set(size)
-	p.tel.checkpointTime.ObserveDuration(time.Since(start))
-	p.tel.checkpointVolume.Observe(float64(size))
-	return size, nil
-}
-
 // deltaPath names the chain file carrying delta sequence seq.
 func deltaPath(base string, seq uint64) string {
 	return fmt.Sprintf("%s.delta.%06d", base, seq)
@@ -98,20 +75,26 @@ func deltaPath(base string, seq uint64) string {
 // CheckpointChain writes one checkpoint in the delta-chain protocol: a
 // full snapshot to path when the chain needs (re)anchoring — no base
 // yet, a previous write left the watermark ahead of the disk, or
-// Config.CompactEvery deltas have accumulated — and otherwise only the
-// record blocks dirtied since the last checkpoint, to
-// path.delta.NNNNNN. Every file goes through AtomicWriteFile, so a torn
-// write never shadows an earlier good one; a full checkpoint deletes
-// the previous chain's delta files, which its base supersedes.
+// compactEvery deltas have accumulated — and otherwise only the record
+// blocks dirtied since the last checkpoint, to path.delta.NNNNNN. Every
+// file goes through AtomicWriteFile, so a torn write never shadows an
+// earlier good one; a full checkpoint then deletes the previous chain's
+// delta files, which its base supersedes. Every failure counts in
+// Metrics.CheckpointErrors, whoever asked for the checkpoint.
 //
 //lint:durable-path the chain protocol is what a crashed daemon restarts from
-func (p *Pipeline) CheckpointChain(path string) (int64, error) {
+func (p *Pipeline) CheckpointChain(path string) (size int64, err error) {
 	p.ckptMu.Lock()
 	defer p.ckptMu.Unlock()
+	defer func() {
+		if err != nil {
+			p.metrics.checkpointErrors.Add(1)
+		}
+	}()
 	start := time.Now()
 
 	seq, based := p.store.CheckpointSeq()
-	full := !based || p.chainBroken || seq >= uint64(p.cfg.CompactEvery)
+	full := !based || p.chainBroken || seq >= compactEvery
 
 	// marked tracks whether the corpus watermark advanced inside the
 	// write: if it did and the file still failed (flush, fsync, rename),
@@ -135,7 +118,7 @@ func (p *Pipeline) CheckpointChain(path string) (int64, error) {
 	if !full {
 		target = deltaPath(path, seq+1)
 	}
-	size, err := AtomicWriteFile(target, write)
+	size, err = AtomicWriteFile(target, write)
 	if err != nil {
 		if marked {
 			p.chainBroken = true
@@ -143,8 +126,14 @@ func (p *Pipeline) CheckpointChain(path string) (int64, error) {
 		return 0, fmt.Errorf("ingest: checkpoint %s: %w", target, err)
 	}
 	if full {
+		if err := removeChainDeltas(path); err != nil {
+			// The new base is durable, but until the old deltas are gone
+			// the next checkpoint must be full too: a fresh delta 1 in
+			// front of the old chain's delta 2 would not restore.
+			p.chainBroken = true
+			return 0, fmt.Errorf("ingest: checkpoint %s: superseded chain: %w", path, err)
+		}
 		p.chainBroken = false
-		removeChainDeltas(path)
 	} else {
 		p.metrics.deltaCheckpoints.Add(1)
 	}
@@ -173,24 +162,37 @@ func chainDeltaFiles(path string) map[uint64]string {
 	return files
 }
 
-// removeChainDeltas best-effort deletes a superseded chain's delta
-// files. A leftover is harmless: restore validates every delta against
-// its parent, and a stale one fails that check instead of applying.
-func removeChainDeltas(path string) {
-	for _, f := range chainDeltaFiles(path) {
-		os.Remove(f)
+// removeChainDeltas deletes a superseded chain's delta files, highest
+// sequence first, and stops at the first failure. A crash or a failed
+// remove therefore leaves a prefix 1..j of the old chain, never a gap,
+// and RestoreChainFiles recognises such a prefix as superseded by the
+// base next to it.
+func removeChainDeltas(path string) error {
+	files := chainDeltaFiles(path)
+	seqs := slices.Sorted(maps.Keys(files))
+	for i := len(seqs) - 1; i >= 0; i-- {
+		if err := os.Remove(files[seqs[i]]); err != nil && !os.IsNotExist(err) {
+			return err
+		}
 	}
+	return nil
 }
 
 // RestoreChainFiles loads a base checkpoint plus its delta chain: the
-// restore half of CheckpointChain. Like RestoreFile, a missing base
-// with no deltas is the empty start (nil, nil); deltas without a base,
-// a gap in the sequence, or a delta that fails validation are errors —
-// the chain is not trustworthy and the caller decides whether to start
-// empty.
+// restore half of CheckpointChain. A missing base with no deltas is the
+// empty start (nil, nil). A delta 1 that was cut against a different
+// base (collector.ErrDeltaBase) belongs to a chain the base superseded:
+// a compaction renamed the new base into place and died, or failed,
+// before deleting the old deltas. The base is then the newest
+// checkpoint, and restore returns it alone; the next checkpoint is full
+// (a restored seed carries no chain position) and removes the leftovers.
+// Deltas without a base, a gap in the sequence, or a delta that fails
+// any other check are errors — the chain is not trustworthy and the
+// caller decides whether to start empty. So is an unreadable or
+// corrupt base.
 func RestoreChainFiles(path string) (*collector.Collector, error) {
 	deltas := chainDeltaFiles(path)
-	c, err := RestoreFile(path)
+	c, err := restoreFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -200,23 +202,25 @@ func RestoreChainFiles(path string) (*collector.Collector, error) {
 		}
 		return nil, nil
 	}
-	maxSeq := uint64(0)
-	for seq := range deltas {
-		if seq > maxSeq {
-			maxSeq = seq
+	// n files form a chain only if they are exactly 1..n.
+	n := uint64(len(deltas))
+	for seq := uint64(1); seq <= n; seq++ {
+		if _, ok := deltas[seq]; !ok {
+			return nil, fmt.Errorf("ingest: restore %s: delta %06d missing, %d delta files are not a chain", path, seq, n)
 		}
 	}
-	for seq := uint64(1); seq <= maxSeq; seq++ {
-		dp, ok := deltas[seq]
-		if !ok {
-			return nil, fmt.Errorf("ingest: restore %s: delta %06d missing from a chain of %d", path, seq, maxSeq)
-		}
+	for seq := uint64(1); seq <= n; seq++ {
+		dp := deltas[seq]
 		f, err := os.Open(dp)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: restore %s: %w", dp, err)
 		}
 		err = c.ApplyDelta(bufio.NewReaderSize(f, 1<<20))
 		f.Close()
+		if seq == 1 && errors.Is(err, collector.ErrDeltaBase) {
+			// ApplyDelta rejects a foreign base before touching c.
+			return c, nil
+		}
 		if err != nil {
 			return nil, fmt.Errorf("ingest: restore %s: %w", dp, err)
 		}
@@ -224,11 +228,9 @@ func RestoreChainFiles(path string) (*collector.Collector, error) {
 	return c, nil
 }
 
-// RestoreFile loads a checkpoint written by CheckpointFile. A missing
-// file is not an error — it returns (nil, nil), the empty-start case —
-// while an unreadable or corrupt checkpoint returns the error for the
-// caller to decide on (daemons log and start empty; batch runs abort).
-func RestoreFile(path string) (*collector.Collector, error) {
+// restoreFile opens the chain's base, a plain full snapshot. A missing
+// file returns (nil, nil), the empty-start case.
+func restoreFile(path string) (*collector.Collector, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil

@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"bufio"
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,14 +39,13 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			}
 			feedConcurrently(first, events[:len(events)/2], producers)
 
-			var ckpt bytes.Buffer
-			bw := bufio.NewWriter(&ckpt)
-			if err := first.Checkpoint(bw); err != nil {
+			path := filepath.Join(t.TempDir(), "corpus.snap")
+			if _, err := first.CheckpointChain(path); err != nil {
 				t.Fatalf("shards=%d: checkpoint: %v", shards, err)
 			}
 			first.Close() // the interrupted process
 
-			restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
+			restored, err := RestoreChainFiles(path)
 			if err != nil {
 				t.Fatalf("shards=%d: restore: %v", shards, err)
 			}
@@ -82,11 +79,11 @@ func TestCheckpointCoversFlushed(t *testing.T) {
 	}
 	p.Ingest(events) // Ingest flushes
 
-	var ckpt bytes.Buffer
-	if err := p.Checkpoint(bufio.NewWriter(&ckpt)); err != nil {
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if _, err := p.CheckpointChain(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
+	restored, err := RestoreChainFiles(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +94,14 @@ func TestCheckpointCoversFlushed(t *testing.T) {
 	p.Close()
 }
 
-// TestCheckpointFileAtomicAndRestore covers the file protocol: write,
-// restore, overwrite, and the missing-file case.
+// TestCheckpointFileAtomicAndRestore covers the checkpoint files: a
+// base, a delta whose reported size is its file's, restore, no temp
+// litter, a corrupt base, and the missing-file case.
 func TestCheckpointFileAtomicAndRestore(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "corpus.snap")
 
-	if c, err := RestoreFile(path); err != nil || c != nil {
+	if c, err := RestoreChainFiles(path); err != nil || c != nil {
 		t.Fatalf("missing checkpoint: got (%v, %v), want (nil, nil)", c, err)
 	}
 
@@ -113,15 +111,15 @@ func TestCheckpointFileAtomicAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Ingest(events[:len(events)/2])
-	if _, err := p.CheckpointFile(path); err != nil {
+	if _, err := p.CheckpointChain(path); err != nil {
 		t.Fatal(err)
 	}
 	p.Ingest(events[len(events)/2:])
-	size, err := p.CheckpointFile(path)
+	size, err := p.CheckpointChain(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != size {
+	if fi, err := os.Stat(deltaPath(path, 1)); err != nil || fi.Size() != size {
 		t.Fatalf("checkpoint file size %v vs reported %d (err %v)", fi, size, err)
 	}
 	m := p.Metrics()
@@ -130,7 +128,7 @@ func TestCheckpointFileAtomicAndRestore(t *testing.T) {
 	}
 	merged := p.Close()
 
-	restored, err := RestoreFile(path)
+	restored, err := RestoreChainFiles(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +141,11 @@ func TestCheckpointFileAtomicAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "corpus.snap" {
+	if len(entries) != 2 || entries[0].Name() != "corpus.snap" || entries[1].Name() != "corpus.snap.delta.000001" {
 		t.Fatalf("checkpoint dir litter: %v", entries)
 	}
 
-	// Corrupt checkpoint: RestoreFile must error, not return a husk.
+	// Corrupt base: restore must error, not return a husk.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +154,29 @@ func TestCheckpointFileAtomicAndRestore(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := RestoreFile(path); err == nil {
+	if c, err := RestoreChainFiles(path); err == nil {
 		t.Fatalf("corrupt checkpoint restored: %v", c)
+	}
+}
+
+// TestCheckpointErrorsCounted: CheckpointChain counts its own failures,
+// so a failed POST /snapshot or shutdown checkpoint shows in Metrics
+// like a failed tick does.
+func TestCheckpointErrorsCounted(t *testing.T) {
+	p, err := New(DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Ingest(testEvents(t, 0.02, 2))
+	path := filepath.Join(t.TempDir(), "no-such-dir", "corpus.snap")
+	for i := 1; i <= 2; i++ {
+		if _, err := p.CheckpointChain(path); err == nil {
+			t.Fatal("checkpoint into a missing directory succeeded")
+		}
+		if m := p.Metrics(); m.CheckpointErrors != uint64(i) || m.Checkpoints != 0 {
+			t.Fatalf("after %d failures: %+v", i, m)
+		}
 	}
 }
 
@@ -185,7 +204,7 @@ func TestCheckpointTicker(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	merged := p.Close()
-	restored, err := RestoreFile(path)
+	restored, err := RestoreChainFiles(path)
 	if err != nil {
 		t.Fatal(err)
 	}

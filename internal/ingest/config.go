@@ -55,32 +55,21 @@ type Config struct {
 	// pipeline-level results readable via StageView.
 	Stages []StageFactory
 	// Seed, when non-nil, is a corpus the pipeline starts from — the
-	// restore half of checkpointing, typically collector.OpenSnapshot's
+	// restore half of checkpointing, typically RestoreChainFiles's
 	// result. The pipeline takes ownership (the store absorbs it before
 	// any event flows), so the merged corpus is the seed plus everything
 	// ingested, exactly as if the seed's observations had streamed first.
 	Seed *collector.Collector
-	// CheckpointPath, when non-empty, is the file the pipeline writes
-	// durable corpus snapshots to (atomically: temp file + rename), every
-	// CheckpointInterval. Restore-on-start is the caller's half: load the
-	// file with RestoreFile and pass the corpus as Seed.
+	// CheckpointPath, when non-empty, is where the pipeline writes its
+	// durable corpus checkpoints every CheckpointInterval: a full base at
+	// the path and a delta chain beside it (see CheckpointChain).
+	// Restore-on-start is the caller's half: load the chain with
+	// RestoreChainFiles and pass the corpus as Seed.
 	CheckpointPath string
 	// CheckpointInterval is how often the pipeline checkpoints to
 	// CheckpointPath. 0 with a non-empty path means on-demand only
-	// (CheckpointFile / Checkpoint).
+	// (CheckpointChain).
 	CheckpointInterval time.Duration
-	// DeltaCheckpoints switches periodic checkpoints to the delta-chain
-	// protocol: a full snapshot anchors the chain at CheckpointPath, and
-	// each later checkpoint writes only the record blocks dirtied since
-	// the previous one to CheckpointPath.delta.NNNNNN — on a lightly
-	// -churned corpus an order of magnitude smaller and faster than a
-	// full snapshot. Restore-on-start uses RestoreChainFiles.
-	DeltaCheckpoints bool
-	// CompactEvery bounds the delta chain: after this many deltas the
-	// next checkpoint is a full one, folding the chain into a fresh base
-	// and deleting the delta files. 0 means the default (16); compaction
-	// only applies when DeltaCheckpoints is set.
-	CompactEvery int
 	// Registry, when non-nil, is the telemetry registry the pipeline
 	// registers its metric families in — per-shard queue gauges, batch
 	// latency and size histograms, per-stage timings, checkpoint
@@ -138,12 +127,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.CheckpointInterval > 0 && c.CheckpointPath == "" {
 		return fmt.Errorf("ingest: CheckpointInterval without CheckpointPath")
-	}
-	if c.CompactEvery < 0 {
-		return fmt.Errorf("ingest: CompactEvery %d negative", c.CompactEvery)
-	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = 16
 	}
 	return nil
 }

@@ -18,8 +18,8 @@ type Metrics struct {
 	processed *telemetry.Counter // events folded into shard state
 	batches   *telemetry.Counter // batches handed to shard queues
 	snapshots *telemetry.Counter // shard snapshots merged into the store
-	// Durable-checkpoint telemetry (CheckpointFile and the periodic
-	// checkpoint ticker).
+	// Durable-checkpoint telemetry (CheckpointChain, whether called on
+	// demand or by the periodic checkpoint ticker).
 	checkpoints         *telemetry.Counter
 	deltaCheckpoints    *telemetry.Counter
 	checkpointErrors    *telemetry.Counter
@@ -46,8 +46,8 @@ type pipelineTelemetry struct {
 	// Global distributions.
 	batchEvents      *telemetry.Histogram // events per batch
 	mergeSeconds     *telemetry.Histogram // ApplyShard wall time in the merger
-	checkpointTime   *telemetry.Histogram // CheckpointFile wall time
-	checkpointVolume *telemetry.Histogram // CheckpointFile bytes written
+	checkpointTime   *telemetry.Histogram // CheckpointChain wall time
+	checkpointVolume *telemetry.Histogram // CheckpointChain bytes written
 }
 
 // initTelemetry registers the pipeline's metric families in reg and
@@ -138,7 +138,7 @@ type MetricsSnapshot struct {
 	// "how much would a crash lose right now" gauge.
 	Checkpoints uint64 `json:"checkpoints"`
 	// DeltaCheckpoints is the subset of Checkpoints written as chain
-	// deltas (Config.DeltaCheckpoints); ChainSeq is the corpus's position
+	// deltas rather than full bases; ChainSeq is the corpus's position
 	// in the current chain — 0 right after a full checkpoint, N after N
 	// deltas on that base.
 	DeltaCheckpoints    uint64 `json:"delta_checkpoints,omitempty"`

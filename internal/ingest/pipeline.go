@@ -330,9 +330,9 @@ func (p *Pipeline) Quiesce() {
 }
 
 // runCheckpointTicker periodically persists the corpus to the
-// configured checkpoint path. Failures are counted in Metrics (a
-// daemon's stats endpoint is where a full disk shows up) and retried
-// next tick.
+// configured checkpoint path. CheckpointChain counts failures in
+// Metrics (a daemon's stats endpoint is where a full disk shows up);
+// the next tick retries.
 func (p *Pipeline) runCheckpointTicker(every time.Duration) {
 	defer p.tickerWG.Done()
 	t := time.NewTicker(every)
@@ -340,15 +340,8 @@ func (p *Pipeline) runCheckpointTicker(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			var err error
-			if p.cfg.DeltaCheckpoints {
-				_, err = p.CheckpointChain(p.cfg.CheckpointPath)
-			} else {
-				_, err = p.CheckpointFile(p.cfg.CheckpointPath)
-			}
-			if err != nil {
-				p.metrics.checkpointErrors.Add(1)
-			}
+			// A failure is already counted; the next tick retries.
+			_, _ = p.CheckpointChain(p.cfg.CheckpointPath)
 		case <-p.stopTick:
 			return
 		}

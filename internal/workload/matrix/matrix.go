@@ -404,8 +404,8 @@ func runCell(p *workload.Profile, st *workload.Stream, shards int, mode string) 
 	return &cellOutcome{cell: cell, report: report, col: col}, nil
 }
 
-// restoreCell is the durable leg: feed half the stream, checkpoint
-// through the real Quiesce + snapshot protocol, restore the checkpoint
+// restoreCell is the durable leg: feed half the stream, quiesce, write
+// a full chain checkpoint (a base with no deltas), restore the chain
 // into a fresh pipeline (corpus via Config.Seed, stages via SeedStage),
 // feed the rest, and hand the second pipeline back for closing. Its
 // result must be byte-identical to the straight run's.
@@ -418,10 +418,14 @@ func restoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.
 		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
 	first.Ingest(st.Events[:half])
+	first.Quiesce()
 	var ckpt bytes.Buffer
 	bw := bufio.NewWriter(&ckpt)
-	if err := first.Checkpoint(bw); err != nil {
+	if err := first.Store().CheckpointFull(bw); err != nil {
 		return nil, fmt.Errorf("matrix: %s: checkpoint: %w", cellID(cell), err)
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
 	}
 	// Close stops the first pipeline's workers and completes its merged
 	// stages; no events flowed after the checkpoint, so the merged stage
@@ -430,7 +434,7 @@ func restoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.
 	// bytes, the protocol a real crash recovery uses.
 	first.Close()
 
-	restored, err := collector.OpenSnapshot(bufio.NewReader(&ckpt))
+	restored, err := collector.RestoreChain(bufio.NewReader(&ckpt))
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: restore: %w", cellID(cell), err)
 	}
